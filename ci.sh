@@ -28,6 +28,9 @@ cargo test -q -p vod-integration-tests --test observability
 echo "==> series determinism (golden --series test, lazy vs reference kernels)"
 cargo test -q -p vod-integration-tests --test series
 
+echo "==> remote-serving kernel gate (heap bound, remote golden traces, remote lazy vs reference)"
+cargo test -q --release -p vod-integration-tests --test scale_kernel
+
 echo "==> vod-check lint (zero findings, zero stale allowlist entries)"
 cargo run -q --release -p vod-check -- lint
 

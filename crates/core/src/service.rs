@@ -34,7 +34,7 @@ use vod_net::{LinkId, Mbps, NodeId, Route, Topology};
 use vod_obs::{Event as ObsEvent, EventSink, MetricsRegistry, NullSink, RunReport, RunSummary};
 use vod_sim::engine::{Model, Simulation};
 use vod_sim::fault::{FaultKind, FaultPlan};
-use vod_sim::flow::{FlowId, FlowKernel, FlowNetwork, COMPLETION_CHECK_SLACK};
+use vod_sim::flow::{FlowId, FlowKernel, FlowNetwork, FlowStats, COMPLETION_CHECK_SLACK};
 use vod_sim::metrics::{Summary, TimeSeries};
 use vod_sim::scheduler::Scheduler;
 use vod_sim::traffic::BackgroundModel;
@@ -2292,6 +2292,13 @@ impl<S: EventSink> VodService<S> {
     /// High-water mark of concurrently live sessions so far.
     pub fn peak_sessions(&self) -> usize {
         self.sim.model().peak_sessions
+    }
+
+    /// The flow kernel's work counters so far (reallocations, filling
+    /// rounds, route classes, completion-heap size), the flow-side
+    /// counterpart of the routing engine's `EngineStats`.
+    pub fn flow_stats(&self) -> FlowStats {
+        self.sim.model().flows.stats()
     }
 
     /// Finishes immediately with whatever has completed (for tests).

@@ -19,12 +19,21 @@
 //!
 //! * **Lazy** (the default): each flow stores its remaining volume as of
 //!   its own last rate change (a per-flow sync epoch) and completions are
-//!   predicted into an indexed min-heap with lazy invalidation. Advancing
+//!   predicted into a bounded min-heap with lazy invalidation. Advancing
 //!   time touches only the flows that actually finish in the window, so a
 //!   simulation event costs `O(touched flows + log F)` instead of `O(F)`.
+//!   Progressive filling runs over *route classes* (flows sharing one
+//!   link sequence share one max-min rate), not over individual flows.
 //! * **Reference**: the naive lockstep kernel — every advance rescans and
-//!   decrements every flow. Retained as the differential-testing oracle
-//!   and as the "before" baseline for kernel benchmarks.
+//!   decrements every flow, and filling walks every network flow. Retained
+//!   as the differential-testing oracle and as the "before" baseline for
+//!   kernel benchmarks.
+//!
+//! The lazy kernel keeps its flows in a slot-reusing slab, so memory
+//! follows the live flow count, not the number of flows ever created.
+//! The reference kernel keeps the original `BTreeMap` keyed by id, so it
+//! is an independent oracle for the slab as well as for the filling.
+//! Both mint ids the same way, so the same calls yield the same ids.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -60,14 +69,50 @@ pub const COMPLETION_CHECK_SLACK: SimDuration = SimDuration::from_micros(1);
 /// finish time and the integer-microsecond clock.
 const POP_SLACK_SECS: f64 = 1e-9;
 
+/// Low bits of a [`FlowId`] that hold the flow's slab slot; the high
+/// bits hold its creation sequence number.
+const SLOT_BITS: u32 = 24;
+
+/// Mask selecting the slot bits of a [`FlowId`].
+const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
+
+/// Most flows a network holds at once (one per slab slot).
+pub const MAX_LIVE_FLOWS: usize = 1 << SLOT_BITS;
+
+/// Route-class index of a local (empty-route) lazy flow.
+const LOCAL: u32 = u32::MAX;
+
+/// Heap entries allowed per live flow before the completion heap is
+/// compacted (see [`FlowNetwork::stats`]).
+const HEAP_SLACK_FACTOR: usize = 2;
+
+/// Heap entries allowed on top of the per-flow allowance.
+const HEAP_SLACK_FLOOR: usize = 64;
+
 /// Identifier of a flow within a [`FlowNetwork`].
+///
+/// Ids order by creation: the creation sequence number sits in the high
+/// bits and the slab slot in the low bits. A slot is reused once its
+/// flow is gone, but the sequence number never repeats, so a stale id
+/// never aliases the slot's new occupant.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
 #[serde(transparent)]
 pub struct FlowId(u64);
 
+impl FlowId {
+    fn new(seq: u64, slot: usize) -> Self {
+        FlowId((seq << SLOT_BITS) | slot as u64)
+    }
+
+    /// Slab slot the flow occupies while it is live.
+    fn slot(self) -> usize {
+        (self.0 & SLOT_MASK) as usize
+    }
+}
+
 impl fmt::Display for FlowId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "f{}", self.0)
+        write!(f, "f{}", self.0 >> SLOT_BITS)
     }
 }
 
@@ -81,6 +126,8 @@ pub enum FlowError {
     UnknownLink(LinkId),
     /// The requested volume was not a positive finite number.
     InvalidVolume(f64),
+    /// The network already holds [`MAX_LIVE_FLOWS`] flows.
+    TooManyFlows,
 }
 
 impl fmt::Display for FlowError {
@@ -89,6 +136,7 @@ impl fmt::Display for FlowError {
             FlowError::UnknownFlow(id) => write!(f, "unknown flow {id}"),
             FlowError::UnknownLink(id) => write!(f, "unknown link {id}"),
             FlowError::InvalidVolume(v) => write!(f, "invalid flow volume {v} Mbit"),
+            FlowError::TooManyFlows => write!(f, "more than {MAX_LIVE_FLOWS} live flows"),
         }
     }
 }
@@ -107,9 +155,40 @@ pub enum FlowKernel {
     Reference,
 }
 
+/// Counters describing the flow kernel's work so far; see
+/// [`FlowNetwork::stats`]. The heap and re-rate counters only move
+/// under [`FlowKernel::Lazy`].
+#[derive(Debug, Copy, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FlowStats {
+    /// Max-min reallocations run.
+    pub reallocations: u64,
+    /// Progressive-filling rounds across all reallocations (each round
+    /// saturates at least one link).
+    pub filling_rounds: u64,
+    /// Route classes (distinct link sequences) with at least one live
+    /// flow right now.
+    pub route_classes: u64,
+    /// Rate transitions applied to individual flows.
+    pub flows_rerated: u64,
+    /// Completion predictions pushed onto the heap.
+    pub heap_pushes: u64,
+    /// Times the heap was rebuilt without its stale entries.
+    pub heap_compactions: u64,
+    /// Completion-heap entries right now, stale ones included.
+    pub heap_len: u64,
+    /// Largest completion-heap length seen.
+    pub peak_heap_len: u64,
+    /// Largest number of flows live at once.
+    pub peak_live_flows: u64,
+}
+
 #[derive(Debug, Clone)]
 struct Flow {
-    links: Vec<LinkId>,
+    id: FlowId,
+    /// Route-class index, or [`LOCAL`] for an empty route.
+    class: u32,
+    /// Position of the flow in its class's member list.
+    member_pos: u32,
     /// Remaining volume as of `synced_at` — **not** necessarily "now".
     /// Use [`Flow::remaining_at`] for the current value.
     remaining_mbit: f64,
@@ -132,6 +211,36 @@ impl Flow {
         let elapsed = clock_us.saturating_sub(self.synced_at) as f64 / 1e6;
         self.remaining_mbit - self.rate.as_f64() * elapsed
     }
+
+    fn is_local(&self) -> bool {
+        self.class == LOCAL
+    }
+}
+
+/// A flow of the reference kernel. Its lockstep advance re-materializes
+/// every flow on every call, so `remaining_mbit` is always current.
+#[derive(Debug, Clone)]
+struct RefFlow {
+    links: Vec<LinkId>,
+    remaining_mbit: f64,
+    rate: Mbps,
+    local_rate_override: Option<Mbps>,
+}
+
+/// The live flows sharing one link sequence. Max-min filling gives every
+/// member the same rate, so the lazy kernel fills per class, with each
+/// link's count weighted by the member count.
+#[derive(Debug, Clone, Default)]
+struct RouteClass {
+    /// The shared route; empty while the class slot is free.
+    links: Vec<LinkId>,
+    /// Live members, in no particular order.
+    members: Vec<FlowId>,
+    /// The rate every member holds (lazy kernel).
+    rate: Mbps,
+    /// Filling scratch: the level the class froze at in the current
+    /// reallocation.
+    fill: Mbps,
 }
 
 /// A predicted completion: absolute finish time in seconds since the
@@ -195,8 +304,21 @@ impl Ord for HeapEntry {
 pub struct FlowNetwork {
     topology: Topology,
     background: Vec<Mbps>,
-    flows: BTreeMap<FlowId, Flow>,
-    next_id: u64,
+    /// Vacant id slots, reused last-freed first (both kernels).
+    free_slots: Vec<u32>,
+    /// Id slots ever handed out (both kernels).
+    slot_count: usize,
+    /// Creation sequence number of the next flow (both kernels).
+    next_seq: u64,
+    /// Slab of live lazy flows, indexed by [`FlowId::slot`].
+    slots: Vec<Option<Flow>>,
+    /// Occupied slab slots.
+    live: usize,
+    /// Route classes, indexed by `Flow::class`; empty ones are free.
+    classes: Vec<RouteClass>,
+    free_classes: Vec<u32>,
+    /// Class of every live route.
+    class_index: BTreeMap<Vec<LinkId>, u32>,
     local_rate: Mbps,
     /// Allocated flow rate per link, maintained by `reallocate`.
     link_loads: Vec<f64>,
@@ -211,12 +333,13 @@ pub struct FlowNetwork {
     /// Internal clock: microseconds advanced since creation.
     clock_us: u64,
     /// Predicted completions, min-ordered by finish time, with lazy
-    /// epoch invalidation (Lazy kernel only).
+    /// epoch invalidation (Lazy kernel only). Compacted once it holds
+    /// more than `2 × live + 64` entries.
     completions: BinaryHeap<Reverse<HeapEntry>>,
-    /// Ids of flows with a non-empty route, ascending (= creation order).
-    /// Local flows never contend for links, so allocation and crossing
-    /// queries only ever walk this subset.
-    network_flows: Vec<FlowId>,
+    /// Flows with a non-empty route and their classes, ascending by id
+    /// (= creation order). Local flows never contend for links, so
+    /// allocation only ever walks this subset.
+    network_flows: Vec<(FlowId, u32)>,
     /// Running integral of each link's *total* load (background + flows)
     /// in megabits — the SNMP byte-counter source, maintained
     /// incrementally in `advance` over the active links only.
@@ -231,6 +354,15 @@ pub struct FlowNetwork {
     /// drop) a fresh `Vec<f64>`, the same churn `requeue_scratch`
     /// eliminates on the heap side.
     residual_scratch: Vec<f64>,
+    /// Reusable per-link unfrozen-flow counts (lazy filling).
+    count_scratch: Vec<usize>,
+    /// Reusable list of the classes still unfrozen (lazy filling).
+    open_scratch: Vec<u32>,
+    /// The reference kernel's flows.
+    reference_flows: BTreeMap<FlowId, RefFlow>,
+    /// Ids of the reference kernel's network flows, ascending.
+    reference_network: Vec<FlowId>,
+    stats: FlowStats,
 }
 
 impl FlowNetwork {
@@ -247,8 +379,14 @@ impl FlowNetwork {
         FlowNetwork {
             topology,
             background: vec![Mbps::ZERO; links],
-            flows: BTreeMap::new(),
-            next_id: 0,
+            free_slots: Vec::new(),
+            slot_count: 0,
+            next_seq: 0,
+            slots: Vec::new(),
+            live: 0,
+            classes: Vec::new(),
+            free_classes: Vec::new(),
+            class_index: BTreeMap::new(),
             local_rate: Mbps::new(100.0),
             link_loads: vec![0.0; links],
             admin_down: vec![false; links],
@@ -261,6 +399,11 @@ impl FlowNetwork {
             active_links: Vec::new(),
             requeue_scratch: Vec::new(),
             residual_scratch: Vec::new(),
+            count_scratch: Vec::new(),
+            open_scratch: Vec::new(),
+            reference_flows: BTreeMap::new(),
+            reference_network: Vec::new(),
+            stats: FlowStats::default(),
         }
     }
 
@@ -274,6 +417,19 @@ impl FlowNetwork {
         &self.topology
     }
 
+    /// The kernel's work counters so far.
+    ///
+    /// Under [`FlowKernel::Lazy`] the completion heap never holds more
+    /// than `2 × live flows + 64` entries, so
+    /// `peak_heap_len ≤ 2 × peak_live_flows + 64`.
+    pub fn stats(&self) -> FlowStats {
+        FlowStats {
+            route_classes: self.class_index.len() as u64,
+            heap_len: self.completions.len() as u64,
+            ..self.stats
+        }
+    }
+
     /// Sets the rate at which local (empty-route) flows progress.
     pub fn set_local_rate(&mut self, rate: Mbps) {
         self.local_rate = rate;
@@ -282,14 +438,14 @@ impl FlowNetwork {
             FlowKernel::Lazy => {
                 // Only local flows without a per-flow override change
                 // rate; network flows and link loads are untouched.
-                let ids: Vec<FlowId> = self
-                    .flows
-                    .iter()
-                    .filter(|(_, f)| f.links.is_empty() && f.local_rate_override.is_none())
-                    .map(|(&id, _)| id)
-                    .collect();
-                for id in ids {
-                    self.apply_rate(id, rate);
+                for slot in 0..self.slots.len() {
+                    let follows_default = matches!(
+                        &self.slots[slot],
+                        Some(f) if f.is_local() && f.local_rate_override.is_none()
+                    );
+                    if follows_default {
+                        self.apply_rate(slot, rate);
+                    }
                 }
             }
         }
@@ -363,19 +519,35 @@ impl FlowNetwork {
     }
 
     /// Ids of the flows whose route crosses `link`, in creation order —
-    /// the set a service must re-route when the link goes down. Only
-    /// network flows are consulted (local flows cross nothing), and no
-    /// allocation is performed.
+    /// the set a service must re-route when the link goes down. The lazy
+    /// kernel visits only the members of route classes containing
+    /// `link` (local flows cross nothing), and no rates are recomputed.
     ///
     /// # Panics
     ///
     /// Panics if `link` is out of range.
     pub fn flows_crossing(&self, link: LinkId) -> impl Iterator<Item = FlowId> + '_ {
         assert!(link.index() < self.topology.link_count(), "unknown link");
-        self.network_flows
-            .iter()
-            .copied()
-            .filter(move |id| self.flows[id].links.contains(&link))
+        let mut ids: Vec<FlowId> = match self.kernel {
+            FlowKernel::Reference => self
+                .reference_network
+                .iter()
+                .copied()
+                .filter(|id| {
+                    self.reference_flows
+                        .get(id)
+                        .is_some_and(|f| f.links.contains(&link))
+                })
+                .collect(),
+            FlowKernel::Lazy => self
+                .classes
+                .iter()
+                .filter(|c| c.links.contains(&link))
+                .flat_map(|c| c.members.iter().copied())
+                .collect(),
+        };
+        ids.sort_unstable();
+        ids.into_iter()
     }
 
     /// Starts a flow of `volume_mbit` megabits along `route_links` and
@@ -383,9 +555,9 @@ impl FlowNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::UnknownLink`] for a foreign link id, or
+    /// Returns [`FlowError::UnknownLink`] for a foreign link id,
     /// [`FlowError::InvalidVolume`] for a non-positive or non-finite
-    /// volume.
+    /// volume, or [`FlowError::TooManyFlows`] when the network is full.
     pub fn add_flow(
         &mut self,
         route_links: Vec<LinkId>,
@@ -399,38 +571,30 @@ impl FlowNetwork {
                 return Err(FlowError::UnknownLink(l));
             }
         }
-        let id = FlowId(self.next_id);
-        self.next_id += 1;
         let network = !route_links.is_empty();
-        self.flows.insert(
-            id,
-            Flow {
-                links: route_links,
-                remaining_mbit: volume_mbit,
-                synced_at: self.clock_us,
-                rate: Mbps::ZERO,
-                epoch: 0,
-                local_rate_override: None,
-            },
-        );
-        if network {
-            // Ids are strictly increasing, so pushing keeps the vec sorted.
-            self.network_flows.push(id);
-        }
+        let id = self.mint_id()?;
+        let slot = id.slot();
         match self.kernel {
-            FlowKernel::Reference => self.reallocate(),
+            FlowKernel::Reference => {
+                self.insert_reference(id, route_links, volume_mbit, None);
+                self.reallocate();
+            }
             FlowKernel::Lazy => {
-                if network {
+                self.insert_flow(id, route_links, volume_mbit, None);
+                // A newborn holds rate zero: its class's rate reaches it
+                // here whether or not the reallocation moved that rate.
+                let rate = if network {
                     self.reallocate();
+                    self.class_rate_of(slot)
                 } else {
-                    let rate = self.local_rate;
-                    self.apply_rate(id, rate);
-                }
-                if self.flows[&id].rate == Mbps::ZERO {
+                    self.local_rate
+                };
+                self.apply_rate(slot, rate);
+                if rate == Mbps::ZERO {
                     // Zero-rate birth (oversubscribed route, or a zero
                     // local rate): a float-dust volume must still get
                     // collected on the next advance.
-                    self.push_entry_for(id);
+                    self.push_entry_for(slot);
                 }
             }
         }
@@ -444,30 +608,23 @@ impl FlowNetwork {
     /// # Errors
     ///
     /// Returns [`FlowError::InvalidVolume`] for a non-positive or
-    /// non-finite volume.
+    /// non-finite volume, or [`FlowError::TooManyFlows`] when the
+    /// network is full.
     pub fn add_local_flow(&mut self, volume_mbit: f64, rate: Mbps) -> Result<FlowId, FlowError> {
         if !volume_mbit.is_finite() || volume_mbit <= 0.0 {
             return Err(FlowError::InvalidVolume(volume_mbit));
         }
-        let id = FlowId(self.next_id);
-        self.next_id += 1;
-        self.flows.insert(
-            id,
-            Flow {
-                links: Vec::new(),
-                remaining_mbit: volume_mbit,
-                synced_at: self.clock_us,
-                rate: Mbps::ZERO,
-                epoch: 0,
-                local_rate_override: Some(rate),
-            },
-        );
+        let id = self.mint_id()?;
         match self.kernel {
-            FlowKernel::Reference => self.reallocate(),
+            FlowKernel::Reference => {
+                self.insert_reference(id, Vec::new(), volume_mbit, Some(rate));
+                self.reallocate();
+            }
             FlowKernel::Lazy => {
-                self.apply_rate(id, rate);
-                if self.flows[&id].rate == Mbps::ZERO {
-                    self.push_entry_for(id);
+                self.insert_flow(id, Vec::new(), volume_mbit, Some(rate));
+                self.apply_rate(id.slot(), rate);
+                if rate == Mbps::ZERO {
+                    self.push_entry_for(id.slot());
                 }
             }
         }
@@ -481,15 +638,23 @@ impl FlowNetwork {
     ///
     /// Returns [`FlowError::UnknownFlow`] if the flow does not exist.
     pub fn remove_flow(&mut self, id: FlowId) -> Result<f64, FlowError> {
-        let clock = self.clock_us;
-        let flow = self.take_flow(id).ok_or(FlowError::UnknownFlow(id))?;
         match self.kernel {
-            FlowKernel::Reference => self.reallocate(),
-            // A local flow holds no link bandwidth: nothing to redistribute.
-            FlowKernel::Lazy if !flow.links.is_empty() => self.reallocate(),
-            FlowKernel::Lazy => {}
+            FlowKernel::Reference => {
+                let flow = self.take_reference(id).ok_or(FlowError::UnknownFlow(id))?;
+                self.reallocate();
+                Ok(flow.remaining_mbit)
+            }
+            FlowKernel::Lazy => {
+                let clock = self.clock_us;
+                let flow = self.take_flow(id).ok_or(FlowError::UnknownFlow(id))?;
+                // A local flow holds no link bandwidth: nothing to
+                // redistribute.
+                if !flow.is_local() {
+                    self.reallocate();
+                }
+                Ok(flow.remaining_at(clock))
+            }
         }
-        Ok(flow.remaining_at(clock))
     }
 
     /// The current max-min fair rate of `id`.
@@ -498,10 +663,11 @@ impl FlowNetwork {
     ///
     /// Returns [`FlowError::UnknownFlow`] if the flow does not exist.
     pub fn rate(&self, id: FlowId) -> Result<Mbps, FlowError> {
-        self.flows
-            .get(&id)
-            .map(|f| f.rate)
-            .ok_or(FlowError::UnknownFlow(id))
+        let rate = match self.kernel {
+            FlowKernel::Reference => self.reference_flows.get(&id).map(|f| f.rate),
+            FlowKernel::Lazy => self.flow(id).map(|f| f.rate),
+        };
+        rate.ok_or(FlowError::UnknownFlow(id))
     }
 
     /// Remaining volume of `id` in megabits, as of the network's current
@@ -511,10 +677,11 @@ impl FlowNetwork {
     ///
     /// Returns [`FlowError::UnknownFlow`] if the flow does not exist.
     pub fn remaining_mbit(&self, id: FlowId) -> Result<f64, FlowError> {
-        self.flows
-            .get(&id)
-            .map(|f| f.remaining_at(self.clock_us))
-            .ok_or(FlowError::UnknownFlow(id))
+        let remaining = match self.kernel {
+            FlowKernel::Reference => self.reference_flows.get(&id).map(|f| f.remaining_mbit),
+            FlowKernel::Lazy => self.flow(id).map(|f| f.remaining_at(self.clock_us)),
+        };
+        remaining.ok_or(FlowError::UnknownFlow(id))
     }
 
     /// The route links of `id`.
@@ -523,29 +690,29 @@ impl FlowNetwork {
     ///
     /// Returns [`FlowError::UnknownFlow`] if the flow does not exist.
     pub fn flow_links(&self, id: FlowId) -> Result<&[LinkId], FlowError> {
-        self.flows
-            .get(&id)
-            .map(|f| f.links.as_slice())
-            .ok_or(FlowError::UnknownFlow(id))
+        let links = match self.kernel {
+            FlowKernel::Reference => self.reference_flows.get(&id).map(|f| f.links.as_slice()),
+            FlowKernel::Lazy => self.flow(id).map(|f| self.route_of(f)),
+        };
+        links.ok_or(FlowError::UnknownFlow(id))
     }
 
     /// Number of active flows.
     pub fn flow_count(&self) -> usize {
-        self.flows.len()
+        match self.kernel {
+            FlowKernel::Reference => self.reference_flows.len(),
+            FlowKernel::Lazy => self.live,
+        }
     }
 
     /// Ids of all active flows, in creation order.
     pub fn flow_ids(&self) -> impl Iterator<Item = FlowId> + '_ {
-        self.flows.keys().copied()
-    }
-
-    /// Live entries in the lazy completion heap (the reference kernel
-    /// keeps none). Test-only: proves that frozen zero-rate flows never
-    /// enqueue predictions, so a saturated network cannot spin the
-    /// verify-and-requeue passes.
-    #[cfg(test)]
-    fn completion_heap_len(&self) -> usize {
-        self.completions.len()
+        let mut ids: Vec<FlowId> = match self.kernel {
+            FlowKernel::Reference => self.reference_flows.keys().copied().collect(),
+            FlowKernel::Lazy => self.slots.iter().flatten().map(|f| f.id).collect(),
+        };
+        ids.sort_unstable();
+        ids.into_iter()
     }
 
     /// Time until the next flow completes at current rates, with its id.
@@ -563,7 +730,7 @@ impl FlowNetwork {
     pub fn next_completion(&mut self) -> Option<(FlowId, SimDuration)> {
         match self.kernel {
             FlowKernel::Reference => self
-                .flows
+                .reference_flows
                 .iter()
                 .filter(|(_, f)| f.rate.as_f64() > 0.0)
                 .map(|(&id, f)| (id, f.remaining_mbit / f.rate.as_f64()))
@@ -574,7 +741,7 @@ impl FlowNetwork {
                 let mut dust = std::mem::take(&mut self.requeue_scratch);
                 dust.clear();
                 while let Some(&Reverse(top)) = self.completions.peek() {
-                    match self.flows.get(&top.id) {
+                    match self.flow(top.id) {
                         Some(f) if f.epoch == top.epoch => {
                             if f.rate.as_f64() > 0.0 {
                                 let secs = f.remaining_at(self.clock_us) / f.rate.as_f64();
@@ -587,12 +754,8 @@ impl FlowNetwork {
                             // not drive the completion schedule (the
                             // reference scan filters rate > 0 the same
                             // way). Stash it aside and keep looking.
-                            dust.push(
-                                self.completions
-                                    .pop()
-                                    .expect("pop follows a successful peek")
-                                    .0,
-                            );
+                            dust.push(top);
+                            self.completions.pop();
                         }
                         // Stale: flow gone or re-rated since the entry was
                         // pushed. Drop it for good.
@@ -640,16 +803,14 @@ impl FlowNetwork {
     /// Lockstep advance: decrement every flow, collect the finished.
     fn advance_reference(&mut self, dt: SimDuration, done: &mut Vec<FlowId>) {
         let secs = dt.as_secs_f64();
-        let clock = self.clock_us;
-        for (&id, flow) in self.flows.iter_mut() {
+        for (&id, flow) in self.reference_flows.iter_mut() {
             flow.remaining_mbit -= flow.rate.as_f64() * secs;
-            flow.synced_at = clock;
             if flow.remaining_mbit <= COMPLETION_EPSILON_MBIT {
                 done.push(id);
             }
         }
         for &id in done.iter() {
-            self.take_flow(id);
+            self.take_reference(id);
         }
         if !done.is_empty() {
             self.reallocate();
@@ -664,15 +825,12 @@ impl FlowNetwork {
         let now_secs = self.clock_us as f64 / 1e6;
         let mut requeue = std::mem::take(&mut self.requeue_scratch);
         requeue.clear();
-        while let Some(&Reverse(top)) = self.completions.peek() {
-            if top.finish_secs > now_secs + POP_SLACK_SECS {
+        while let Some(&Reverse(entry)) = self.completions.peek() {
+            if entry.finish_secs > now_secs + POP_SLACK_SECS {
                 break;
             }
-            let Reverse(entry) = self
-                .completions
-                .pop()
-                .expect("pop follows a successful peek");
-            match self.flows.get(&entry.id) {
+            self.completions.pop();
+            match self.flow(entry.id) {
                 Some(f) if f.epoch == entry.epoch => {
                     if f.remaining_at(self.clock_us) <= COMPLETION_EPSILON_MBIT {
                         done.push(entry.id);
@@ -693,8 +851,7 @@ impl FlowNetwork {
         done.dedup();
         let mut network_done = false;
         for &id in done.iter() {
-            let flow = self.take_flow(id).expect("completed flow exists");
-            network_done |= !flow.links.is_empty();
+            network_done |= self.take_flow(id).is_some_and(|f| !f.is_local());
         }
         // Only a network completion releases link bandwidth; local
         // completions never perturb the allocation.
@@ -799,25 +956,195 @@ impl FlowNetwork {
         }
     }
 
-    /// Removes `id` from the flow map and the network-flow index.
-    fn take_flow(&mut self, id: FlowId) -> Option<Flow> {
-        let flow = self.flows.remove(&id)?;
+    /// The live flow `id`, if any. A stale id (its slot since freed or
+    /// reused) finds nothing.
+    fn flow(&self, id: FlowId) -> Option<&Flow> {
+        self.slots
+            .get(id.slot())
+            .and_then(Option::as_ref)
+            .filter(|f| f.id == id)
+    }
+
+    /// The route of `flow` (empty for a local flow).
+    fn route_of(&self, flow: &Flow) -> &[LinkId] {
+        self.classes
+            .get(flow.class as usize)
+            .map_or(&[], |c| c.links.as_slice())
+    }
+
+    /// The class rate of the network flow in `slot`.
+    fn class_rate_of(&self, slot: usize) -> Mbps {
+        self.slots
+            .get(slot)
+            .and_then(Option::as_ref)
+            .and_then(|f| self.classes.get(f.class as usize))
+            .map_or(Mbps::ZERO, |c| c.rate)
+    }
+
+    /// Hands out the id of a new flow: the next sequence number and the
+    /// most recently freed slot, or a fresh one.
+    fn mint_id(&mut self) -> Result<FlowId, FlowError> {
+        let slot = match self.free_slots.pop() {
+            Some(slot) => slot as usize,
+            None if self.slot_count < MAX_LIVE_FLOWS => {
+                self.slot_count += 1;
+                self.slot_count - 1
+            }
+            None => return Err(FlowError::TooManyFlows),
+        };
+        let id = FlowId::new(self.next_seq, slot);
+        self.next_seq += 1;
+        Ok(id)
+    }
+
+    /// Stores a new zero-rate reference flow under `id`.
+    fn insert_reference(
+        &mut self,
+        id: FlowId,
+        links: Vec<LinkId>,
+        volume_mbit: f64,
+        local_rate_override: Option<Mbps>,
+    ) {
+        if !links.is_empty() {
+            // Ids are strictly increasing, so pushing keeps the vec sorted.
+            self.reference_network.push(id);
+        }
+        self.reference_flows.insert(
+            id,
+            RefFlow {
+                links,
+                remaining_mbit: volume_mbit,
+                rate: Mbps::ZERO,
+                local_rate_override,
+            },
+        );
+        let live = self.reference_flows.len() as u64;
+        self.stats.peak_live_flows = self.stats.peak_live_flows.max(live);
+    }
+
+    /// Removes reference flow `id`, freeing its id slot.
+    fn take_reference(&mut self, id: FlowId) -> Option<RefFlow> {
+        let flow = self.reference_flows.remove(&id)?;
+        self.free_slots.push(id.slot() as u32);
         if !flow.links.is_empty() {
-            if let Ok(pos) = self.network_flows.binary_search(&id) {
-                self.network_flows.remove(pos);
+            if let Ok(pos) = self.reference_network.binary_search(&id) {
+                self.reference_network.remove(pos);
             }
         }
         Some(flow)
     }
 
-    /// Transitions `id` to `rate`: materializes the remaining volume at
-    /// the current clock, bumps the flow's epoch (invalidating any
-    /// predicted completion in flight) and pushes a fresh prediction.
-    /// A bitwise-identical rate is a no-op, keeping the existing
-    /// prediction valid.
-    fn apply_rate(&mut self, id: FlowId, rate: Mbps) {
+    /// Stores a new zero-rate lazy flow under `id` (joining its route
+    /// class, for a network flow).
+    fn insert_flow(
+        &mut self,
+        id: FlowId,
+        route: Vec<LinkId>,
+        volume_mbit: f64,
+        local_rate_override: Option<Mbps>,
+    ) {
+        let slot = id.slot();
+        if self.slots.len() <= slot {
+            self.slots.resize(slot + 1, None);
+        }
+        let (class, member_pos) = if route.is_empty() {
+            (LOCAL, 0)
+        } else {
+            let joined = self.join_class(route, id);
+            // Ids are strictly increasing, so pushing keeps the vec sorted.
+            self.network_flows.push((id, joined.0));
+            joined
+        };
+        self.slots[slot] = Some(Flow {
+            id,
+            class,
+            member_pos,
+            remaining_mbit: volume_mbit,
+            synced_at: self.clock_us,
+            rate: Mbps::ZERO,
+            epoch: 0,
+            local_rate_override,
+        });
+        self.live += 1;
+        self.stats.peak_live_flows = self.stats.peak_live_flows.max(self.live as u64);
+    }
+
+    /// Adds `id` to the class of `route` (opening the class if the route
+    /// is new); returns the class index and the member position.
+    fn join_class(&mut self, route: Vec<LinkId>, id: FlowId) -> (u32, u32) {
+        let class = match self.class_index.get(route.as_slice()) {
+            Some(&class) => class,
+            None => {
+                let class = match self.free_classes.pop() {
+                    Some(class) => class,
+                    None => {
+                        self.classes.push(RouteClass::default());
+                        (self.classes.len() - 1) as u32
+                    }
+                };
+                self.class_index.insert(route.clone(), class);
+                self.classes[class as usize] = RouteClass {
+                    links: route,
+                    ..RouteClass::default()
+                };
+                class
+            }
+        };
+        let members = &mut self.classes[class as usize].members;
+        members.push(id);
+        (class, (members.len() - 1) as u32)
+    }
+
+    /// Removes member `pos` from `class`, closing the class when it
+    /// empties.
+    fn leave_class(&mut self, class: u32, pos: u32) {
+        let Some(c) = self.classes.get_mut(class as usize) else {
+            return;
+        };
+        let pos = pos as usize;
+        c.members.swap_remove(pos);
+        let moved = c.members.get(pos).copied();
+        if c.members.is_empty() {
+            let links = std::mem::take(&mut c.links);
+            c.rate = Mbps::ZERO;
+            self.class_index.remove(&links);
+            self.free_classes.push(class);
+        }
+        if let Some(moved) = moved {
+            if let Some(f) = self.slots.get_mut(moved.slot()).and_then(Option::as_mut) {
+                f.member_pos = pos as u32;
+            }
+        }
+    }
+
+    /// Removes lazy flow `id` from the slab, the network-flow index and
+    /// its route class, freeing its slot for reuse.
+    fn take_flow(&mut self, id: FlowId) -> Option<Flow> {
+        self.flow(id)?;
+        let slot = id.slot();
+        let flow = self.slots.get_mut(slot)?.take()?;
+        self.free_slots.push(slot as u32);
+        self.live -= 1;
+        if !flow.is_local() {
+            if let Ok(pos) = self.network_flows.binary_search_by(|&(f, _)| f.cmp(&id)) {
+                self.network_flows.remove(pos);
+            }
+            self.leave_class(flow.class, flow.member_pos);
+        }
+        self.maybe_compact_heap();
+        Some(flow)
+    }
+
+    /// Transitions the flow in `slot` to `rate`: materializes the
+    /// remaining volume at the current clock, bumps the flow's epoch
+    /// (invalidating any predicted completion in flight) and pushes a
+    /// fresh prediction. A bitwise-identical rate is a no-op, keeping the
+    /// existing prediction valid.
+    fn apply_rate(&mut self, slot: usize, rate: Mbps) {
         let clock = self.clock_us;
-        let flow = self.flows.get_mut(&id).expect("flow exists");
+        let Some(flow) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
         if flow.rate == rate {
             return;
         }
@@ -825,42 +1152,79 @@ impl FlowNetwork {
         flow.synced_at = clock;
         flow.rate = rate;
         flow.epoch += 1;
-        self.push_entry_for(id);
+        self.stats.flows_rerated += 1;
+        self.push_entry_for(slot);
     }
 
-    /// Pushes a completion prediction for `id` at its current rate: the
-    /// instant its extrapolated remaining volume reaches the completion
-    /// epsilon. Zero-rate flows never finish — except ones already at
-    /// the epsilon (float dust), which get an immediate entry so the
-    /// next advance collects them like the reference kernel would.
-    fn push_entry_for(&mut self, id: FlowId) {
-        let flow = &self.flows[&id];
+    /// Pushes a completion prediction for the flow in `slot` at its
+    /// current rate: the instant its extrapolated remaining volume
+    /// reaches the completion epsilon. Zero-rate flows never finish —
+    /// except ones already at the epsilon (float dust), which get an
+    /// immediate entry so the next advance collects them like the
+    /// reference kernel would.
+    fn push_entry_for(&mut self, slot: usize) {
+        let Some(flow) = self.slots.get(slot).and_then(Option::as_ref) else {
+            return;
+        };
         let sync_secs = flow.synced_at as f64 / 1e6;
         let rate = flow.rate.as_f64();
-        if rate > 0.0 {
-            let finish = sync_secs + (flow.remaining_mbit - COMPLETION_EPSILON_MBIT) / rate;
-            self.completions.push(Reverse(HeapEntry {
-                finish_secs: finish,
-                id,
-                epoch: flow.epoch,
-            }));
+        let finish_secs = if rate > 0.0 {
+            sync_secs + (flow.remaining_mbit - COMPLETION_EPSILON_MBIT) / rate
         } else if flow.remaining_mbit <= COMPLETION_EPSILON_MBIT {
-            self.completions.push(Reverse(HeapEntry {
-                finish_secs: sync_secs,
-                id,
-                epoch: flow.epoch,
-            }));
+            sync_secs
+        } else {
+            return;
+        };
+        self.completions.push(Reverse(HeapEntry {
+            finish_secs,
+            id: flow.id,
+            epoch: flow.epoch,
+        }));
+        self.stats.heap_pushes += 1;
+        self.maybe_compact_heap();
+        let len = self.completions.len() as u64;
+        self.stats.peak_heap_len = self.stats.peak_heap_len.max(len);
+    }
+
+    /// Rebuilds the completion heap without its stale entries once it
+    /// holds more than `2 × live + 64` entries. Every live flow has at
+    /// most one current entry, so a rebuild drops over half the heap and
+    /// its cost amortizes to O(1) per push. Pop order among the kept
+    /// entries is unchanged: `HeapEntry`'s order is total.
+    fn maybe_compact_heap(&mut self) {
+        if self.completions.len() <= HEAP_SLACK_FACTOR * self.live + HEAP_SLACK_FLOOR {
+            return;
         }
+        let slots = &self.slots;
+        self.completions.retain(|Reverse(e)| {
+            matches!(
+                slots.get(e.id.slot()),
+                Some(Some(f)) if f.id == e.id && f.epoch == e.epoch
+            )
+        });
+        self.stats.heap_compactions += 1;
     }
 
     /// Recomputes max-min fair rates (progressive filling) and refreshes
     /// the active-link index.
     fn reallocate(&mut self) {
+        self.stats.reallocations += 1;
         match self.kernel {
             FlowKernel::Reference => self.reallocate_reference(),
             FlowKernel::Lazy => self.reallocate_lazy(),
         }
         self.refresh_active_links();
+        debug_assert!(
+            self.completions.len() <= HEAP_SLACK_FACTOR * self.live + HEAP_SLACK_FLOOR,
+            "completion heap exceeds its bound: {} entries for {} flows",
+            self.completions.len(),
+            self.live
+        );
+        debug_assert_eq!(
+            self.classes.iter().map(|c| c.members.len()).sum::<usize>(),
+            self.network_flows.len(),
+            "route-class members disagree with the network flows"
+        );
     }
 
     /// Residual capacity per link after degradation, outages and
@@ -885,7 +1249,8 @@ impl FlowNetwork {
     }
 
     /// The original lockstep allocation: resets every flow's rate and
-    /// rebuilds the link loads from the full flow map.
+    /// rebuilds the link loads from the full flow map, one flow at a
+    /// time.
     ///
     /// Each iteration of the filling loop saturates at least one link, so
     /// the loop runs at most `link_count` times; the total cost is
@@ -897,8 +1262,8 @@ impl FlowNetwork {
         // Dense view of network flows: (id, frozen?); local flows get the
         // fixed local rate immediately.
         let local_rate = self.local_rate;
-        let mut network: Vec<(FlowId, bool)> = Vec::with_capacity(self.flows.len());
-        for (&id, f) in self.flows.iter_mut() {
+        let mut network: Vec<(FlowId, bool)> = Vec::with_capacity(self.reference_flows.len());
+        for (&id, f) in self.reference_flows.iter_mut() {
             if f.links.is_empty() {
                 f.rate = f.local_rate_override.unwrap_or(local_rate);
             } else {
@@ -909,8 +1274,8 @@ impl FlowNetwork {
 
         // Crossing counts for unfrozen flows.
         let mut count = vec![0usize; n_links];
-        for &(id, _) in &network {
-            for l in &self.flows[&id].links {
+        for (id, _) in &network {
+            for l in self.reference_flows.get(id).map_or(&[][..], |f| &f.links) {
                 count[l.index()] += 1;
             }
         }
@@ -918,6 +1283,7 @@ impl FlowNetwork {
         let mut remaining = network.len();
         let mut level = 0.0f64;
         while remaining > 0 {
+            self.stats.filling_rounds += 1;
             // Smallest per-flow increment any crossed link can afford.
             let mut inc = f64::INFINITY;
             for i in 0..n_links {
@@ -953,19 +1319,17 @@ impl FlowNetwork {
                 if frozen {
                     continue;
                 }
-                let bottlenecked = self.flows[&id]
-                    .links
-                    .iter()
-                    .any(|l| cap[l.index()] <= 1e-12);
-                if bottlenecked {
+                let Some(flow) = self.reference_flows.get_mut(&id) else {
+                    continue;
+                };
+                if flow.links.iter().any(|l| cap[l.index()] <= 1e-12) {
                     entry.1 = true;
                     froze_any = true;
                     remaining -= 1;
-                    for l in &self.flows[&id].links {
+                    for l in &flow.links {
                         count[l.index()] -= 1;
                     }
-                    let rate = Mbps::new(level.max(0.0));
-                    self.flows.get_mut(&id).expect("flow exists").rate = rate;
+                    flow.rate = Mbps::new(level.max(0.0));
                 }
             }
             if !froze_any {
@@ -973,8 +1337,9 @@ impl FlowNetwork {
                 // infinite loop by freezing everything at the level.
                 for entry in network.iter_mut() {
                     if !entry.1 {
-                        let rate = Mbps::new(level.max(0.0));
-                        self.flows.get_mut(&entry.0).expect("flow exists").rate = rate;
+                        if let Some(flow) = self.reference_flows.get_mut(&entry.0) {
+                            flow.rate = Mbps::new(level.max(0.0));
+                        }
                         entry.1 = true;
                     }
                 }
@@ -984,7 +1349,7 @@ impl FlowNetwork {
 
         // Refresh the per-link allocation cache.
         self.link_loads.iter_mut().for_each(|l| *l = 0.0);
-        for f in self.flows.values() {
+        for f in self.reference_flows.values() {
             for l in &f.links {
                 self.link_loads[l.index()] += f.rate.as_f64();
             }
@@ -992,12 +1357,18 @@ impl FlowNetwork {
         self.residual_scratch = cap;
     }
 
-    /// The lazy allocation: identical progressive-filling arithmetic over
-    /// the network flows (visited in the same creation order as the
-    /// reference kernel, so the computed rates are bitwise equal), but
-    /// rate transitions go through `apply_rate` — flows whose rate is
-    /// unchanged keep their anchor and their predicted completion, and
-    /// local flows are never touched.
+    /// The lazy allocation: the reference kernel's progressive-filling
+    /// arithmetic, run over route classes instead of flows.
+    ///
+    /// Each link's count is the member-weighted sum over its unfrozen
+    /// classes — the same integer the reference kernel reaches one flow
+    /// at a time — and a round's freeze test reads only the residual
+    /// capacities, which the freeze pass does not touch, so every class
+    /// freezes in the round and at the level each of its members would.
+    /// Rates are therefore bitwise equal to the reference kernel's. Rate
+    /// transitions go through `apply_rate` only for the members of
+    /// classes whose rate moved: the rest keep their anchor and their
+    /// predicted completion, and local flows are never touched.
     fn reallocate_lazy(&mut self) {
         let n_links = self.topology.link_count();
         if self.network_flows.is_empty() {
@@ -1007,21 +1378,24 @@ impl FlowNetwork {
             return;
         }
         let mut cap = self.residual_capacities();
-
-        let mut network: Vec<(FlowId, bool)> =
-            self.network_flows.iter().map(|&id| (id, false)).collect();
-        let mut assigned: Vec<Mbps> = vec![Mbps::ZERO; network.len()];
-
-        let mut count = vec![0usize; n_links];
-        for &(id, _) in &network {
-            for l in &self.flows[&id].links {
-                count[l.index()] += 1;
+        let mut count = std::mem::take(&mut self.count_scratch);
+        count.clear();
+        count.resize(n_links, 0);
+        let mut open = std::mem::take(&mut self.open_scratch);
+        open.clear();
+        for (class, c) in self.classes.iter().enumerate() {
+            let members = c.members.len();
+            if members > 0 {
+                open.push(class as u32);
+                for l in &c.links {
+                    count[l.index()] += members;
+                }
             }
         }
 
-        let mut remaining = network.len();
         let mut level = 0.0f64;
-        while remaining > 0 {
+        while !open.is_empty() {
+            self.stats.filling_rounds += 1;
             let mut inc = f64::INFINITY;
             for i in 0..n_links {
                 if count[i] > 0 {
@@ -1043,55 +1417,65 @@ impl FlowNetwork {
                     cap[i] -= inc * count[i] as f64;
                 }
             }
-            let mut froze_any = false;
-            for (slot, entry) in network.iter_mut().enumerate() {
-                let (id, frozen) = *entry;
-                if frozen {
-                    continue;
+            let rate = Mbps::new(level.max(0.0));
+            let before = open.len();
+            let classes = &mut self.classes;
+            open.retain(|&class| {
+                let Some(c) = classes.get_mut(class as usize) else {
+                    return false;
+                };
+                if !c.links.iter().any(|l| cap[l.index()] <= 1e-12) {
+                    return true;
                 }
-                let bottlenecked = self.flows[&id]
-                    .links
-                    .iter()
-                    .any(|l| cap[l.index()] <= 1e-12);
-                if bottlenecked {
-                    entry.1 = true;
-                    froze_any = true;
-                    remaining -= 1;
-                    for l in &self.flows[&id].links {
-                        count[l.index()] -= 1;
-                    }
-                    assigned[slot] = Mbps::new(level.max(0.0));
+                let members = c.members.len();
+                for l in &c.links {
+                    count[l.index()] -= members;
                 }
-            }
-            if !froze_any {
-                for (slot, entry) in network.iter_mut().enumerate() {
-                    if !entry.1 {
-                        assigned[slot] = Mbps::new(level.max(0.0));
-                        entry.1 = true;
+                c.fill = rate;
+                false
+            });
+            if open.len() == before {
+                // No link saturated (see the reference kernel): freeze
+                // everything at the level.
+                for &class in &open {
+                    if let Some(c) = classes.get_mut(class as usize) {
+                        c.fill = rate;
                     }
                 }
-                break;
+                open.clear();
             }
         }
 
-        // Apply the new rates; only flows whose rate actually moved are
-        // re-anchored and re-predicted.
-        for (slot, &(id, _)) in network.iter().enumerate() {
-            self.apply_rate(id, assigned[slot]);
+        // Apply the new rates; only classes whose rate moved re-anchor
+        // and re-predict their members.
+        for class in 0..self.classes.len() {
+            let c = &mut self.classes[class];
+            if c.members.is_empty() || c.rate == c.fill {
+                continue;
+            }
+            c.rate = c.fill;
+            let rate = c.rate;
+            for k in 0..self.classes[class].members.len() {
+                let slot = self.classes[class].members[k].slot();
+                self.apply_rate(slot, rate);
+            }
         }
 
-        // Refresh the per-link allocation cache from the network flows in
-        // creation order — the same summation order as the reference
-        // kernel (local flows contribute nothing there either).
+        // Refresh the per-link allocation cache flow by flow, in creation
+        // order — the reference kernel's summation order, so the sums
+        // are bitwise equal (a member-count product would round
+        // differently).
         self.link_loads.iter_mut().for_each(|l| *l = 0.0);
-        for &(id, _) in &network {
-            let f = &self.flows[&id];
-            let rate = f.rate.as_f64();
-            for l in &f.links {
+        for &(_, class) in &self.network_flows {
+            let c = &self.classes[class as usize];
+            let rate = c.rate.as_f64();
+            for l in &c.links {
                 self.link_loads[l.index()] += rate;
             }
         }
         self.residual_scratch = cap;
+        self.count_scratch = count;
+        self.open_scratch = open;
     }
 
     /// Sets the background traffic on several links at once, recomputing
@@ -1561,7 +1945,7 @@ mod tests {
         }
         // The frozen flow never entered the completion heap, so the
         // hour-long advance had nothing to verify-and-requeue.
-        assert_eq!(lazy.completion_heap_len(), 0);
+        assert_eq!(lazy.stats().heap_len, 0);
 
         // Lifting the saturation thaws the flow identically: both
         // kernels settle on the 2 Mbps bottleneck and predict the same
@@ -1572,12 +1956,90 @@ mod tests {
         }
         assert_eq!(lazy.rate(a).unwrap(), reference.rate(a).unwrap());
         assert_eq!(lazy.rate(a).unwrap(), Mbps::new(2.0));
-        assert_eq!(lazy.completion_heap_len(), 1);
+        assert_eq!(lazy.stats().heap_len, 1);
         let (fa, dta) = lazy.next_completion().unwrap();
         let (fb, dtb) = reference.next_completion().unwrap();
         assert_eq!((fa, dta), (fb, dtb));
         assert_eq!(lazy.advance(dta), vec![a]);
         assert_eq!(reference.advance(dtb), vec![a]);
+    }
+
+    #[test]
+    fn freed_slots_are_reused_and_stale_ids_stay_unknown() {
+        for kernel in BOTH_KERNELS {
+            let (t, l0, l1) = two_hop();
+            let mut net = FlowNetwork::with_kernel(t, kernel);
+            let a = net.add_flow(vec![l0, l1], 10.0).unwrap();
+            let b = net.add_flow(vec![l1], 10.0).unwrap();
+            net.remove_flow(a).unwrap();
+            let c = net.add_flow(vec![l0, l1], 10.0).unwrap();
+            // The new flow takes the freed slot but a fresh, larger id.
+            assert_eq!(c.slot(), a.slot(), "{kernel:?}");
+            assert!(a < b && b < c, "{kernel:?}");
+            assert_eq!(net.rate(a), Err(FlowError::UnknownFlow(a)));
+            assert_eq!(net.remaining_mbit(a), Err(FlowError::UnknownFlow(a)));
+            assert_eq!(net.flow_links(a), Err(FlowError::UnknownFlow(a)));
+            assert_eq!(net.remove_flow(a), Err(FlowError::UnknownFlow(a)));
+            // The stale removal left the slot's new occupant alone.
+            assert_eq!(net.flow_count(), 2);
+            assert_eq!(net.flow_links(c).unwrap(), &[l0, l1]);
+            assert_eq!(net.flow_ids().collect::<Vec<_>>(), vec![b, c]);
+            assert_eq!(a.to_string(), "f0");
+            assert_eq!(c.to_string(), "f2");
+        }
+    }
+
+    /// Memory follows the live flows, not the flows ever created: a
+    /// long churn through two live flows keeps the slab at two slots,
+    /// the route classes at two, and the completion heap within its
+    /// `2 × live + 64` bound although every reallocation re-rates and
+    /// re-predicts both flows.
+    #[test]
+    fn churn_keeps_slab_classes_and_heap_bounded() {
+        let (t, l0, l1) = two_hop();
+        let mut net = FlowNetwork::new(t);
+        let mut held = net.add_flow(vec![l0, l1], 1e6).unwrap();
+        for i in 0..5_000 {
+            let route = if i % 2 == 0 { vec![l0] } else { vec![l0, l1] };
+            let fresh = net.add_flow(route, 1e6).unwrap();
+            net.advance(SimDuration::from_millis(1));
+            net.remove_flow(held).unwrap();
+            held = fresh;
+        }
+        let stats = net.stats();
+        assert_eq!(net.slots.len(), 2);
+        assert!(net.classes.len() <= 2);
+        assert_eq!(stats.route_classes, 1);
+        assert_eq!(stats.peak_live_flows, 2);
+        assert!(stats.heap_compactions > 0);
+        assert!(stats.peak_heap_len <= 2 * stats.peak_live_flows + 64);
+        assert!(stats.heap_pushes > stats.peak_heap_len);
+        assert_eq!(stats.reallocations, 10_001);
+    }
+
+    #[test]
+    fn flows_on_one_route_share_a_class() {
+        let (t, l0, l1) = two_hop();
+        let mut net = FlowNetwork::new(t);
+        let a = net.add_flow(vec![l0, l1], 10.0).unwrap();
+        let b = net.add_flow(vec![l0, l1], 10.0).unwrap();
+        let c = net.add_flow(vec![l1], 10.0).unwrap();
+        net.add_flow(vec![], 10.0).unwrap();
+        assert_eq!(net.stats().route_classes, 2);
+        assert_eq!(net.rate(a).unwrap(), Mbps::new(1.0));
+        assert_eq!(net.rate(b).unwrap(), Mbps::new(1.0));
+        assert_eq!(net.rate(c).unwrap(), Mbps::new(16.0));
+        assert_eq!(net.flows_crossing(l0).collect::<Vec<_>>(), vec![a, b]);
+        assert_eq!(net.flows_crossing(l1).collect::<Vec<_>>(), vec![a, b, c]);
+        // Emptying a class closes it; the route re-opens on demand.
+        net.remove_flow(a).unwrap();
+        net.remove_flow(b).unwrap();
+        assert_eq!(net.stats().route_classes, 1);
+        assert_eq!(net.flows_crossing(l0).count(), 0);
+        let d = net.add_flow(vec![l0, l1], 10.0).unwrap();
+        assert_eq!(net.stats().route_classes, 2);
+        assert_eq!(net.rate(d).unwrap(), Mbps::new(2.0));
+        assert_eq!(net.rate(c).unwrap(), Mbps::new(16.0));
     }
 
     mod max_min_properties {
@@ -1666,7 +2128,66 @@ mod tests {
     mod kernel_parity {
         use super::*;
         use proptest::prelude::*;
-        use vod_net::topologies::patterns::line;
+        use vod_net::topologies::patterns::{line, star};
+
+        /// Asserts that the two kernels agree after an operation: rates,
+        /// link loads and SNMP volume integrals bitwise, routes and
+        /// crossing sets exactly, flow counts, and next-completion
+        /// predictions to the µs-rounding of the contract. Also holds the
+        /// lazy completion heap to its `2 × live + 64` bound.
+        fn assert_parity(
+            lazy: &mut FlowNetwork,
+            reference: &mut FlowNetwork,
+            live: &[FlowId],
+            links: &[LinkId],
+        ) -> Result<(), TestCaseError> {
+            for &id in live {
+                prop_assert_eq!(
+                    lazy.rate(id).unwrap().as_f64().to_bits(),
+                    reference.rate(id).unwrap().as_f64().to_bits(),
+                    "rate of {} diverged",
+                    id
+                );
+                prop_assert_eq!(
+                    lazy.flow_links(id).unwrap(),
+                    reference.flow_links(id).unwrap()
+                );
+            }
+            for &l in links {
+                prop_assert_eq!(
+                    lazy.link_flow_load(l).as_f64().to_bits(),
+                    reference.link_flow_load(l).as_f64().to_bits(),
+                    "load of {} diverged",
+                    l
+                );
+                prop_assert_eq!(
+                    lazy.link_cumulative_mbit(l).to_bits(),
+                    reference.link_cumulative_mbit(l).to_bits(),
+                    "SNMP integral of {} diverged",
+                    l
+                );
+                prop_assert!(lazy.flows_crossing(l).eq(reference.flows_crossing(l)));
+            }
+            prop_assert_eq!(lazy.flow_count(), reference.flow_count());
+            prop_assert_eq!(lazy.flow_count(), live.len());
+            let stats = lazy.stats();
+            prop_assert!(stats.heap_len <= 2 * live.len() as u64 + 64);
+            prop_assert!(stats.peak_heap_len <= 2 * stats.peak_live_flows + 64);
+            match (lazy.next_completion(), reference.next_completion()) {
+                (None, None) => {}
+                (Some((_, da)), Some((_, db))) => {
+                    let diff = da.as_micros() as i128 - db.as_micros() as i128;
+                    prop_assert!(
+                        diff.abs() <= 1,
+                        "predictions {} vs {} µs",
+                        da.as_micros(),
+                        db.as_micros()
+                    );
+                }
+                other => prop_assert!(false, "prediction disagreement: {:?}", other),
+            }
+            Ok(())
+        }
 
         /// Drives a Lazy and a Reference network through the same random
         /// schedule of adds, removes, background changes, capacity
@@ -1744,39 +2265,148 @@ mod tests {
                         live.retain(|id| !da.contains(id));
                     }
                 }
-                // Bitwise invariants after every operation.
-                for &id in &live {
-                    prop_assert_eq!(
-                        lazy.rate(id).unwrap(),
-                        reference.rate(id).unwrap(),
-                        "rate of {} diverged",
-                        id
-                    );
-                }
-                for &l in &links {
-                    prop_assert_eq!(lazy.link_flow_load(l), reference.link_flow_load(l));
-                    prop_assert_eq!(
-                        lazy.link_cumulative_mbit(l).to_bits(),
-                        reference.link_cumulative_mbit(l).to_bits(),
-                        "SNMP integral of {} diverged",
-                        l
-                    );
-                }
-                prop_assert_eq!(lazy.flow_count(), reference.flow_count());
-                // Predictions agree to the µs-rounding of the contract.
-                match (lazy.next_completion(), reference.next_completion()) {
-                    (None, None) => {}
-                    (Some((_, da)), Some((_, db))) => {
-                        let diff = da.as_micros() as i128 - db.as_micros() as i128;
-                        prop_assert!(
-                            diff.abs() <= 1,
-                            "predictions {} vs {} µs",
-                            da.as_micros(),
-                            db.as_micros()
-                        );
+                assert_parity(&mut lazy, &mut reference, &live, &links)?;
+            }
+            Ok(())
+        }
+
+        /// Routes over the 4-spoke star (link `i` joins the hub to leaf
+        /// `i + 1`): spoke-only and leaf-to-leaf paths, few enough that
+        /// most flows share their route class with others.
+        const STAR_ROUTES: [&[usize]; 6] = [&[0], &[1], &[0, 1], &[1, 2], &[2, 3], &[3, 0]];
+
+        /// The route-class driver: a branching topology with a small
+        /// route pool, so classes gain and lose many members. Besides the
+        /// random adds, removes, capacity changes and advances it empties
+        /// whole classes and re-opens them, and removes flows so that
+        /// their slab slots get reused — then checks that every stale id
+        /// stays `UnknownFlow` in both kernels and that new ids keep
+        /// increasing.
+        fn drive_classes(ops: &[(u8, usize, f64)]) -> Result<(), TestCaseError> {
+            let topo = star(5, Mbps::new(4.0));
+            let links: Vec<LinkId> = topo.link_ids().collect();
+            let route_of = |sel: usize| -> Vec<LinkId> {
+                STAR_ROUTES[sel % STAR_ROUTES.len()]
+                    .iter()
+                    .map(|&i| links[i])
+                    .collect()
+            };
+            let mut lazy = FlowNetwork::with_kernel(topo.clone(), FlowKernel::Lazy);
+            let mut reference = FlowNetwork::with_kernel(topo, FlowKernel::Reference);
+            let mut live: Vec<FlowId> = Vec::new();
+            let mut gone: Vec<FlowId> = Vec::new();
+            let mut last: Option<FlowId> = None;
+            for &(op, sel, val) in ops {
+                let mut added = Vec::new();
+                match op {
+                    0 | 1 => {
+                        let route = route_of(sel);
+                        let a = lazy.add_flow(route.clone(), val).unwrap();
+                        let b = reference.add_flow(route, val).unwrap();
+                        prop_assert_eq!(a, b);
+                        added.push(a);
                     }
-                    other => prop_assert!(false, "prediction disagreement: {:?}", other),
+                    2 if !live.is_empty() => {
+                        let id = live.remove(sel % live.len());
+                        let ra = lazy.remove_flow(id).unwrap();
+                        let rb = reference.remove_flow(id).unwrap();
+                        prop_assert!((ra - rb).abs() <= 1e-6, "remove {}: {} vs {}", id, ra, rb);
+                        gone.push(id);
+                    }
+                    3 => {
+                        // Empty a whole class, then re-open its route.
+                        let route = route_of(sel);
+                        let members: Vec<FlowId> = live
+                            .iter()
+                            .copied()
+                            .filter(|&id| lazy.flow_links(id).unwrap() == route.as_slice())
+                            .collect();
+                        for id in members {
+                            lazy.remove_flow(id).unwrap();
+                            reference.remove_flow(id).unwrap();
+                            live.retain(|&l| l != id);
+                            gone.push(id);
+                        }
+                        prop_assert!(lazy
+                            .flows_crossing(route[0])
+                            .all(|id| { lazy.flow_links(id).unwrap() != route.as_slice() }));
+                        let a = lazy.add_flow(route.clone(), val).unwrap();
+                        let b = reference.add_flow(route, val).unwrap();
+                        prop_assert_eq!(a, b);
+                        added.push(a);
+                    }
+                    4 => {
+                        if let Some((_, dt)) = lazy.next_completion() {
+                            let da = lazy.advance(dt);
+                            let db = reference.advance(dt);
+                            prop_assert_eq!(&da, &db, "advance-to-completion disagrees");
+                            live.retain(|id| !da.contains(id));
+                            gone.extend(da);
+                        }
+                    }
+                    5 => {
+                        let l = links[sel % links.len()];
+                        let bg = Mbps::new(val * 0.08);
+                        lazy.set_background(l, bg);
+                        reference.set_background(l, bg);
+                    }
+                    6 => {
+                        let l = links[sel % links.len()];
+                        let scale = if sel % 4 == 0 {
+                            0.0
+                        } else {
+                            (val / 40.0).min(1.0)
+                        };
+                        lazy.set_link_capacity_scale(l, scale);
+                        lazy.set_link_admin_down(l, sel % 3 == 0);
+                        reference.set_link_capacity_scale(l, scale);
+                        reference.set_link_admin_down(l, sel % 3 == 0);
+                    }
+                    7 if !live.is_empty() => {
+                        // Free a slot and refill it at once: the newcomer
+                        // reuses the slot under a fresh id.
+                        let id = live.remove(sel % live.len());
+                        lazy.remove_flow(id).unwrap();
+                        reference.remove_flow(id).unwrap();
+                        gone.push(id);
+                        let a = if sel % 2 == 0 {
+                            lazy.add_local_flow(val, Mbps::new(val)).unwrap()
+                        } else {
+                            lazy.add_flow(route_of(sel / 2), val).unwrap()
+                        };
+                        let b = if sel % 2 == 0 {
+                            reference.add_local_flow(val, Mbps::new(val)).unwrap()
+                        } else {
+                            reference.add_flow(route_of(sel / 2), val).unwrap()
+                        };
+                        prop_assert_eq!(a, b);
+                        prop_assert_eq!(a.slot(), id.slot(), "freed slot not reused");
+                        added.push(a);
+                    }
+                    _ => {
+                        let dt = SimDuration::from_millis((sel as u64 % 900) + 100);
+                        let da = lazy.advance(dt);
+                        let db = reference.advance(dt);
+                        prop_assert_eq!(&da, &db, "timed advance disagrees");
+                        live.retain(|id| !da.contains(id));
+                        gone.extend(da);
+                    }
                 }
+                for id in added {
+                    prop_assert!(last < Some(id), "ids must keep increasing");
+                    last = Some(id);
+                    live.push(id);
+                }
+                for &id in &gone {
+                    for net in [&mut lazy, &mut reference] {
+                        prop_assert_eq!(net.rate(id), Err(FlowError::UnknownFlow(id)));
+                        prop_assert_eq!(net.remaining_mbit(id), Err(FlowError::UnknownFlow(id)));
+                        prop_assert_eq!(net.remove_flow(id), Err(FlowError::UnknownFlow(id)));
+                    }
+                }
+                assert_parity(&mut lazy, &mut reference, &live, &links)?;
+                // Memory follows the live flows.
+                prop_assert!(lazy.slots.len() as u64 <= lazy.stats().peak_live_flows);
             }
             Ok(())
         }
@@ -1787,6 +2417,13 @@ mod tests {
                 ops in proptest::collection::vec((0u8..8, 0usize..100, 0.5f64..40.0), 1..60),
             ) {
                 drive(&ops)?;
+            }
+
+            #[test]
+            fn lazy_and_reference_kernels_agree_on_shared_route_classes(
+                ops in proptest::collection::vec((0u8..9, 0usize..100, 0.5f64..40.0), 1..80),
+            ) {
+                drive_classes(&ops)?;
             }
         }
     }

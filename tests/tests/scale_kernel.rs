@@ -1,12 +1,15 @@
 //! Integration tests for the event-driven (lazy) flow kernel: the
-//! pinned seed-42 GRNET golden trace, service-level lazy-vs-reference
-//! equivalence, and a scale-stress smoke run.
+//! pinned seed-42 GRNET golden trace, pinned remote-serving and chaos
+//! traces, service-level lazy-vs-reference equivalence on local and
+//! remote serves, the completion-heap bound at remote scale, and a
+//! scale-stress smoke run.
 
-use vod_core::service::{ServiceConfig, VodService};
+use vod_core::service::{RetryPolicy, ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_net::Mbps;
 use vod_obs::JsonlWriter;
-use vod_sim::FlowKernel;
+use vod_sim::fault::FaultPlan;
+use vod_sim::{FlowKernel, SimDuration, SimTime};
 use vod_workload::scenario::Scenario;
 
 /// Runs `scenario` with a JSONL sink and returns the raw trace bytes.
@@ -68,24 +71,12 @@ fn at_and_kind(line: &str) -> (u64, &str) {
     (at, kind)
 }
 
-/// The lazy kernel is service-level equivalent to the retained reference
-/// kernel: the same events in the same order, with completion-driven
-/// timestamps allowed to differ by at most the documented ±1 µs
-/// ceil-rounding skew on either side (stepwise vs anchored residual
-/// arithmetic round differently when a transfer lands exactly on a
-/// microsecond boundary).
-#[test]
-fn lazy_and_reference_kernels_produce_equivalent_traces() {
-    let scenario = Scenario::scale_stress(11, 500);
-    let config = |kernel| ServiceConfig {
-        initial_replicas: 6,
-        local_rate: Mbps::new(2.0),
-        flow_kernel: kernel,
-        ..ServiceConfig::default()
-    };
-    let lazy = String::from_utf8(traced_run(&scenario, config(FlowKernel::Lazy))).unwrap();
-    let reference =
-        String::from_utf8(traced_run(&scenario, config(FlowKernel::Reference))).unwrap();
+/// Asserts that two traces of one scenario hold the same events in the
+/// same order, with completion-driven timestamps allowed to differ by
+/// at most the documented ±1 µs ceil-rounding skew on either side
+/// (stepwise vs anchored residual arithmetic round differently when a
+/// transfer lands exactly on a microsecond boundary).
+fn assert_equivalent_traces(lazy: &str, reference: &str) {
     assert!(!lazy.is_empty());
     assert_eq!(lazy.lines().count(), reference.lines().count());
     for (l, r) in lazy.lines().zip(reference.lines()) {
@@ -100,6 +91,52 @@ fn lazy_and_reference_kernels_produce_equivalent_traces() {
             "timestamps diverged beyond rounding skew: {l} vs {r}"
         );
     }
+}
+
+/// The serve mix the paper is about: one copy of each title, so most
+/// cluster fetches cross the 2 Mbps backbone and share it max-min.
+fn remote_config(kernel: FlowKernel) -> ServiceConfig {
+    ServiceConfig {
+        initial_replicas: 1,
+        local_rate: Mbps::new(2.0),
+        flow_kernel: kernel,
+        ..ServiceConfig::default()
+    }
+}
+
+/// Four copies of each title plus twelve random link, degradation,
+/// SNMP and server faults over the arrival window, with three fetch
+/// attempts per session: exercises removals, reroutes and frozen flows.
+fn chaos_config(scenario: &Scenario) -> ServiceConfig {
+    ServiceConfig {
+        initial_replicas: 4,
+        fault_plan: FaultPlan::random(
+            5,
+            scenario.topology(),
+            SimTime::ZERO,
+            SimTime::ZERO + SimDuration::from_secs(600),
+            12,
+        ),
+        retry: RetryPolicy::with_attempts(3),
+        ..remote_config(FlowKernel::Lazy)
+    }
+}
+
+/// The lazy kernel is service-level equivalent to the retained reference
+/// kernel on an all-local serve mix (see [`assert_equivalent_traces`]).
+#[test]
+fn lazy_and_reference_kernels_produce_equivalent_traces() {
+    let scenario = Scenario::scale_stress(11, 500);
+    let config = |kernel| ServiceConfig {
+        initial_replicas: 6,
+        local_rate: Mbps::new(2.0),
+        flow_kernel: kernel,
+        ..ServiceConfig::default()
+    };
+    let lazy = String::from_utf8(traced_run(&scenario, config(FlowKernel::Lazy))).unwrap();
+    let reference =
+        String::from_utf8(traced_run(&scenario, config(FlowKernel::Reference))).unwrap();
+    assert_equivalent_traces(&lazy, &reference);
 
     // On the case study, where transfers actually cross the network and
     // share links max-min fairly, the kernels happen to agree to the
@@ -121,6 +158,91 @@ fn lazy_and_reference_kernels_produce_equivalent_traces() {
         },
     );
     assert_eq!(lazy, reference);
+}
+
+/// The same equivalence where progressive filling actually runs: with
+/// one replica per title most serves are remote, so the lazy kernel's
+/// route-class filling is checked against the reference kernel's
+/// per-flow filling over hundreds of contended reallocations.
+#[test]
+fn lazy_and_reference_kernels_agree_on_remote_serves() {
+    let scenario = Scenario::scale_stress(11, 300);
+    let lazy = String::from_utf8(traced_run(&scenario, remote_config(FlowKernel::Lazy))).unwrap();
+    let reference =
+        String::from_utf8(traced_run(&scenario, remote_config(FlowKernel::Reference))).unwrap();
+    let remote_selects = lazy
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"vra_select\"") && l.contains("\"local\":false"))
+        .count();
+    assert!(remote_selects > 100, "only {remote_selects} remote serves");
+    assert_equivalent_traces(&lazy, &reference);
+}
+
+/// Remote-serving and chaos traces pinned byte-for-byte, recorded with
+/// the per-flow filling kernel before route classes replaced it: the
+/// class-weighted filling, the slot-reusing slab and the compacted
+/// completion heap must not move a single event or float.
+#[test]
+fn golden_remote_serving_traces_are_pinned() {
+    let scenario = Scenario::scale_stress(11, 300);
+    let remote = traced_run(&scenario, remote_config(FlowKernel::Lazy));
+    let text = String::from_utf8(remote).unwrap();
+    assert_eq!(text.len(), 325_851, "remote trace byte length drifted");
+    assert_eq!(
+        text.lines().count(),
+        3_613,
+        "remote trace line count drifted"
+    );
+    assert_eq!(
+        fnv1a(text.as_bytes()),
+        0x1e11_0c9e_869f_1e7d,
+        "remote trace content drifted"
+    );
+
+    let chaos = traced_run(&scenario, chaos_config(&scenario));
+    let text = String::from_utf8(chaos).unwrap();
+    assert!(text.contains("\"kind\":\"link_down\""));
+    assert!(text.contains("\"kind\":\"session_retry\""));
+    assert_eq!(text.len(), 268_086, "chaos trace byte length drifted");
+    assert_eq!(
+        text.lines().count(),
+        2_925,
+        "chaos trace line count drifted"
+    );
+    assert_eq!(
+        fnv1a(text.as_bytes()),
+        0xdf5f_c8ec_dc5c_98b8,
+        "chaos trace content drifted"
+    );
+}
+
+/// Resource use follows live state, not history: on the remote and
+/// chaos serve mixes at 10³ sessions, the lazy completion heap never
+/// holds more than `2 × live flows + 64` entries. (Without compaction
+/// the remote run's heap reached 170 059 entries for 957 live flows.)
+#[test]
+fn completion_heap_stays_bounded_at_remote_scale() {
+    let scenario = Scenario::scale_stress(42, 1_000);
+    for (name, config) in [
+        ("remote", remote_config(FlowKernel::Lazy)),
+        ("chaos", chaos_config(&scenario)),
+    ] {
+        let mut service = VodService::new(&scenario, Box::new(Vra::default()), config);
+        service.run_to_end();
+        let stats = service.flow_stats();
+        assert!(stats.filling_rounds > 0, "{name}: filling never ran");
+        assert!(stats.heap_compactions > 0, "{name}: heap never compacted");
+        assert!(
+            stats.peak_heap_len <= 2 * stats.peak_live_flows + 64,
+            "{name}: heap peaked at {} entries for {} live flows",
+            stats.peak_heap_len,
+            stats.peak_live_flows
+        );
+        assert_eq!(
+            stats.route_classes, 0,
+            "{name}: classes outlived their flows"
+        );
+    }
 }
 
 /// A scaled-down scale-stress run: every arrival is admitted, stays live
